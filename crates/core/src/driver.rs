@@ -48,7 +48,7 @@ use enq_data::{
 use enq_parallel::CancelToken;
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -178,8 +178,10 @@ struct FeatureSpill {
 }
 
 impl FeatureSpill {
-    fn fresh_path() -> PathBuf {
-        let mut path = std::env::temp_dir();
+    /// A fresh spill path in `dir` ([`StreamingFitConfig::spill_dir`]),
+    /// falling back to the system temp dir.
+    fn fresh_path(dir: Option<&Path>) -> PathBuf {
+        let mut path = dir.map_or_else(std::env::temp_dir, Path::to_path_buf);
         path.push(format!(
             "enq_stream_spill_{}_{}.enqb",
             std::process::id(),
@@ -488,7 +490,7 @@ impl<'s> StreamDriver<'s> {
             // spills the records verbatim — no PCA fit at all.
             let mut label_set = BTreeSet::new();
             let spill = self.stream.spill_features.then(|| FeatureSpill {
-                path: FeatureSpill::fresh_path(),
+                path: FeatureSpill::fresh_path(self.stream.spill_dir.as_deref()),
             });
             let mut writer = spill
                 .as_ref()
@@ -551,7 +553,7 @@ impl<'s> StreamDriver<'s> {
         let mut passes = 1usize;
         if self.stream.spill_features {
             let spill = FeatureSpill {
-                path: FeatureSpill::fresh_path(),
+                path: FeatureSpill::fresh_path(self.stream.spill_dir.as_deref()),
             };
             let mut writer = BinaryDatasetWriter::create(&spill.path, num_features, true)?;
             self.source.reset()?;
@@ -1106,6 +1108,26 @@ mod tests {
         }
     }
 
+    /// A directory owned by one test: named for the process and the test,
+    /// and removed with its contents on drop, even when an assertion fails.
+    struct OwnedDir(PathBuf);
+
+    impl OwnedDir {
+        fn new(tag: &str) -> Self {
+            let path =
+                std::env::temp_dir().join(format!("enq_driver_{tag}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&path);
+            std::fs::create_dir(&path).unwrap();
+            Self(path)
+        }
+    }
+
+    impl Drop for OwnedDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn stages_must_run_in_order() {
         let data = generate_synthetic(
@@ -1315,6 +1337,15 @@ mod tests {
     }
 
     #[test]
+    fn spill_paths_default_to_the_temp_dir() {
+        assert_eq!(StreamingFitConfig::default().spill_dir, None);
+        let default = FeatureSpill::fresh_path(None);
+        assert_eq!(default.parent(), Some(std::env::temp_dir().as_path()));
+        let dir = Path::new("spill/here");
+        assert_eq!(FeatureSpill::fresh_path(Some(dir)).parent(), Some(dir));
+    }
+
+    #[test]
     fn cancellation_winds_down_between_chunks_without_leaking_spills() {
         let data = generate_synthetic(
             DatasetKind::MnistLike,
@@ -1325,8 +1356,15 @@ mod tests {
             },
         )
         .unwrap();
+        // Other lib tests spill into the shared temp dir concurrently, so the
+        // census reads a directory this test owns.
+        let dir = OwnedDir::new("cancel_spill");
+        let stream = StreamingFitConfig {
+            spill_dir: Some(dir.0.clone()),
+            ..tiny_stream()
+        };
         let spill_count = || {
-            std::fs::read_dir(std::env::temp_dir())
+            std::fs::read_dir(&dir.0)
                 .unwrap()
                 .filter_map(Result::ok)
                 .filter(|e| {
@@ -1341,7 +1379,7 @@ mod tests {
         let token = CancelToken::new();
         {
             let mut driver =
-                StreamDriver::new(&mut source, tiny_config(13), tiny_stream()).unwrap();
+                StreamDriver::new(&mut source, tiny_config(13), stream.clone()).unwrap();
             driver.set_cancel(token.clone());
             // Features complete, then cancellation lands: the next stage
             // must refuse to run and no pipeline is ever produced.
@@ -1360,7 +1398,7 @@ mod tests {
         // A token cancelled before the first chunk stops the feature stage
         // itself.
         let mut source = InMemorySource::new(&data);
-        let mut driver = StreamDriver::new(&mut source, tiny_config(13), tiny_stream()).unwrap();
+        let mut driver = StreamDriver::new(&mut source, tiny_config(13), stream).unwrap();
         let token = CancelToken::new();
         token.cancel();
         driver.set_cancel(token);

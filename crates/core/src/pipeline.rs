@@ -13,6 +13,7 @@ use crate::symbolic::SymbolicState;
 use enq_data::{Dataset, FeaturePipeline, IngestMode, SampleSource};
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,6 +52,11 @@ pub struct StreamingFitConfig {
     /// re-streaming (features round-trip losslessly through the `ENQB`
     /// layout).
     pub spill_features: bool,
+    /// Directory for the feature-spill temp file; `None` (the default) uses
+    /// [`std::env::temp_dir`]. The directory must already exist — a missing
+    /// one fails the feature stage with an I/O error. Unused when
+    /// `spill_features` is off.
+    pub spill_dir: Option<PathBuf>,
     /// Minimum per-cluster representative fidelity (the closed-form
     /// `⟨x̂, ĉ⟩²` amplitude-embedding fidelity between each member and its
     /// centroid, an upper bound on the post-ansatz fidelity). `Some(t)`
@@ -70,6 +76,7 @@ impl Default for StreamingFitConfig {
             polish_passes: 2,
             ingest: IngestMode::default(),
             spill_features: true,
+            spill_dir: None,
             fidelity_threshold: None,
             max_clusters_per_class: 64,
         }

@@ -184,8 +184,13 @@ pub struct TrafficAccumulator {
     /// shard spill — synchronous disk I/O by design, to keep shard order
     /// chronological — stalls only recorders of that model.
     models: Mutex<HashMap<String, Arc<Mutex<ModelTraffic>>>>,
-    shard_counter: AtomicU64,
 }
+
+/// Numbers every shard file of the process. Process-wide, not per
+/// accumulator: two accumulators recording the same model id into the same
+/// directory (two services on the default `spill_dir`) must never name a
+/// shard alike, or they overwrite and delete each other's files.
+static SHARD_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl TrafficAccumulator {
     /// Creates an accumulator (disabled configs cost one branch per record).
@@ -193,7 +198,6 @@ impl TrafficAccumulator {
         Self {
             config,
             models: Mutex::new(HashMap::new()),
-            shard_counter: AtomicU64::new(0),
         }
     }
 
@@ -226,7 +230,7 @@ impl TrafficAccumulator {
             .clone()
             .unwrap_or_else(std::env::temp_dir);
         // Model ids are arbitrary strings; keep only path-safe characters in
-        // the file name and rely on the counter for uniqueness.
+        // the file name and rely on the process-wide counter for uniqueness.
         let safe: String = model_id
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
@@ -235,7 +239,7 @@ impl TrafficAccumulator {
         dir.push(format!(
             "enq_traffic_{}_{safe}_{}.enqb",
             std::process::id(),
-            self.shard_counter.fetch_add(1, Ordering::Relaxed),
+            SHARD_COUNTER.fetch_add(1, Ordering::Relaxed),
         ));
         dir
     }
@@ -886,6 +890,37 @@ mod tests {
             traffic.compact("unknown"),
             Err(ServeError::NoTraffic(_))
         ));
+    }
+
+    #[test]
+    fn accumulators_recording_one_model_id_keep_their_own_shards() {
+        // Same model id, same (default) spill directory, one process: the
+        // shard names must still differ between the two accumulators.
+        let first = tiny_traffic(2, 64);
+        let second = tiny_traffic(2, 64);
+        for i in 0..4 {
+            first.record("m", &vector(i), 0);
+            second.record("m", &vector(100 + i), 1);
+        }
+        let replay = |corpus: &TrafficCorpus| {
+            let mut source = corpus.chronological_source().unwrap();
+            materialize(&mut source, "r").unwrap()
+        };
+        let mine: Vec<Vec<f64>> = (0..4).map(vector).collect();
+        let theirs: Vec<Vec<f64>> = (100..104).map(vector).collect();
+        let corpus = first.corpus("m").unwrap();
+        let other = second.corpus("m").unwrap();
+        assert_eq!(replay(&corpus).samples(), &mine[..]);
+        assert_eq!(replay(&other).samples(), &theirs[..]);
+        assert!(replay(&other).labels().iter().all(|&l| l == 1));
+
+        // Clearing and dropping the second accumulator deletes only its
+        // own shard files.
+        assert_eq!(second.clear("m"), 4);
+        drop(other);
+        drop(second);
+        assert_eq!(replay(&corpus).samples(), &mine[..]);
+        assert!(corpus.shard_paths().iter().all(|p| p.exists()));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use enq_serve::{EmbedService, RebuildSpec, RebuildStatus, ServeConfig, ServeErro
 use enqode::{AnsatzConfig, EnqodeConfig, EnqodePipeline, EntanglerKind, StreamingFitConfig};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -79,11 +80,30 @@ fn built_pipeline(seed: u64) -> (Arc<EnqodePipeline>, Dataset) {
     )
 }
 
-/// Temp files matching the stream driver's feature-spill prefix for this
+/// A directory owned by one test: named for the process and the test, and
+/// removed with its contents on drop, even when an assertion fails.
+struct OwnedDir(PathBuf);
+
+impl OwnedDir {
+    fn new(tag: &str) -> Self {
+        let path = std::env::temp_dir().join(format!("enq_lifecycle_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir(&path).unwrap();
+        Self(path)
+    }
+}
+
+impl Drop for OwnedDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Files in `dir` matching the stream driver's feature-spill prefix for this
 /// process.
-fn spill_files() -> Vec<std::path::PathBuf> {
+fn spill_files(dir: &Path) -> Vec<PathBuf> {
     let prefix = format!("enq_stream_spill_{}_", std::process::id());
-    std::fs::read_dir(std::env::temp_dir())
+    std::fs::read_dir(dir)
         .unwrap()
         .filter_map(Result::ok)
         .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
@@ -403,7 +423,15 @@ fn cancel_and_failure_leave_the_registry_untouched_and_leak_nothing() {
     });
     service.register_model("live", Arc::clone(&v1));
     let (_, generation) = service.registry().get_with_generation("live").unwrap();
-    let spills_before = spill_files().len();
+    // Other tests in this process spill into the shared temp dir while this
+    // one runs; every rebuild here spills into a directory of its own, and
+    // only that directory is counted.
+    let dir = OwnedDir::new("cancel_failure");
+    let stream = StreamingFitConfig {
+        spill_dir: Some(dir.0.clone()),
+        ..tiny_stream()
+    };
+    let spills_before = spill_files(&dir.0).len();
     let controller = service.rebuild_controller();
 
     // --- Cancellation mid-stage -------------------------------------------
@@ -431,7 +459,7 @@ fn cancel_and_failure_leave_the_registry_untouched_and_leak_nothing() {
         .start(
             "live",
             cancelling,
-            RebuildSpec::new(tiny_config(4), tiny_stream()),
+            RebuildSpec::new(tiny_config(4), stream.clone()),
         )
         .unwrap();
     *ticket_cell.lock().unwrap() = Some(ticket.clone());
@@ -440,19 +468,29 @@ fn cancel_and_failure_leave_the_registry_untouched_and_leak_nothing() {
         service.registry().get_with_generation("live").unwrap();
     assert!(Arc::ptr_eq(&v1, &after_cancel), "registry untouched");
     assert_eq!(generation, generation_after_cancel);
-    assert_eq!(spill_files().len(), spills_before, "no spill file leaked");
+    assert_eq!(
+        spill_files(&dir.0).len(),
+        spills_before,
+        "no spill file leaked"
+    );
     // The cancelled fit completed no stage.
     assert!(ticket.progress().is_empty());
 
     // --- Injected source failure ------------------------------------------
     // Pass 1 over 40 samples at chunk 5 is 9 reads (8 full + the empty
     // terminal read); failing at read 12 lands mid-spill-pass, after the
-    // spill temp file was created — its cleanup is exactly what we pin.
+    // spill temp file was created — its cleanup is exactly what we pin. The
+    // hook records the census at that read (asserted after `wait`: a panic
+    // inside the source would never reach a terminal status).
+    let spills_at_failure: Arc<Mutex<Option<usize>>> = Arc::new(Mutex::new(None));
+    let seen = Arc::clone(&spills_at_failure);
+    let spill_dir = dir.0.clone();
     let failing = HookSource {
         inner: synthetic_source(4, 20),
         reads: 0,
-        hook: |reads| {
+        hook: move |reads| {
             if reads == 12 {
+                *seen.lock().unwrap() = Some(spill_files(&spill_dir).len());
                 Err(DataError::Io("injected shard failure".to_string()))
             } else {
                 Ok(())
@@ -463,7 +501,7 @@ fn cancel_and_failure_leave_the_registry_untouched_and_leak_nothing() {
         .start(
             "live",
             failing,
-            RebuildSpec::new(tiny_config(4), tiny_stream()),
+            RebuildSpec::new(tiny_config(4), stream.clone()),
         )
         .unwrap();
     let status = ticket.wait();
@@ -473,18 +511,27 @@ fn cancel_and_failure_leave_the_registry_untouched_and_leak_nothing() {
         }
         other => panic!("expected a failure, got {other:?}"),
     }
+    assert_eq!(
+        *spills_at_failure.lock().unwrap(),
+        Some(spills_before + 1),
+        "the failure lands while the spill file exists"
+    );
     let (after_failure, generation_after_failure) =
         service.registry().get_with_generation("live").unwrap();
     assert!(Arc::ptr_eq(&v1, &after_failure), "registry untouched");
     assert_eq!(generation, generation_after_failure);
-    assert_eq!(spill_files().len(), spills_before, "no spill file leaked");
+    assert_eq!(
+        spill_files(&dir.0).len(),
+        spills_before,
+        "no spill file leaked"
+    );
 
     // --- And the id is not poisoned: a clean rebuild now succeeds ---------
     let ticket = controller
         .start(
             "live",
             synthetic_source(4, 8),
-            RebuildSpec::new(tiny_config(4), tiny_stream()),
+            RebuildSpec::new(tiny_config(4), stream),
         )
         .unwrap();
     assert_eq!(ticket.wait(), RebuildStatus::Succeeded);
@@ -493,7 +540,7 @@ fn cancel_and_failure_leave_the_registry_untouched_and_leak_nothing() {
     assert!(!Arc::ptr_eq(&v1, &rebuilt));
     assert!(generation_after_success > generation);
     assert_eq!(
-        spill_files().len(),
+        spill_files(&dir.0).len(),
         spills_before,
         "spill removed on success"
     );
